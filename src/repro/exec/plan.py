@@ -125,10 +125,12 @@ class StageProfile:
     (code-domain layer-boundary encoding counts as DAC time — it *is* the
     DAC's quantiser); ``digital`` is everything else in the forward pass
     (digital layers, im2col, routing adder, quantisers).  ``transport`` is
-    time spent moving batches to and from process workers — zero for
-    in-process execution, filled in by :mod:`repro.serve` for
-    ``workers="process"``.  ``python -m repro run --profile`` and the serve
-    CLIs render this breakdown with a percent-of-total column.
+    the time the stage processes of a :mod:`repro.shard` pipeline spend
+    waiting for free output slots and copying batches into them — zero for
+    in-process execution, filled in for ``workers="process"`` replicas
+    (one-stage pipelines) and sharded pipelines.  ``python -m repro run
+    --profile`` and the serve CLIs render this breakdown with a
+    percent-of-total column.
     """
 
     dac_s: float = 0.0
@@ -1030,10 +1032,15 @@ class ModelPlan:
     pre-plan behaviour, used as the benchmark baseline).
 
     Plans are picklable: a pickled plan carries its replica model, packed
-    tiles, code tables and generator states, so a process pool can
+    tiles, code tables and generator states, so a worker process can
     reconstruct identical execution in another interpreter (arena scratch
-    regrows there).
+    regrows there).  A whole plan is also a valid one-stage payload of
+    :class:`repro.shard.pipeline.ShardedPipeline`: it offers the same
+    :meth:`num_macros` and layer range a :class:`PipelineStagePlan` does.
     """
+
+    #: First top-level layer the plan runs (a whole plan starts at 0).
+    layer_start = 0
 
     def __init__(self, model: Model, backend: ExecutionBackend,
                  context: ExecutionContext) -> None:
@@ -1131,9 +1138,18 @@ class ModelPlan:
         self.profile.forwards += 1
         return logits
 
+    @property
+    def layer_stop(self) -> int:
+        """One past the last top-level layer (0 for non-``Sequential``)."""
+        return len(getattr(self.model, "layers", ()))
+
     def conversions(self) -> int:
         """Analog macro conversions spent so far by the backend."""
         return self.backend.conversions()
+
+    def num_macros(self) -> int:
+        """Macros occupied by the whole plan (its crossbar footprint)."""
+        return layer_macro_count(self.model)
 
     def stage_profile(self) -> Dict[str, float]:
         """Per-stage wall-clock breakdown accumulated so far."""

@@ -8,9 +8,8 @@ string such as ``worker.forward``; the known sites are listed in
 ``delay``
     Sleep ``delay_s`` before proceeding — a pathologically slow worker.
 ``hang``
-    Sleep ``hang_s`` (long) — a wedged worker that never trips
-    ``BrokenExecutor``; only a dispatch deadline or heartbeat watchdog
-    recovers it.
+    Sleep ``hang_s`` (long) — a wedged worker that never dies; only a
+    dispatch deadline or heartbeat watchdog recovers it.
 ``crash``
     ``crash_mode="raise"`` raises :class:`InjectedFaultError` (a
     request-level failure); ``crash_mode="exit"`` hard-exits the process
@@ -52,9 +51,9 @@ import numpy as np
 #: suffixes are appended by slot rings to their configured site prefix.
 SITES = (
     "worker.forward",       # worker-side forward entry (process/thread/stage)
-    "shm.request.write",    # parent writes a request slot
-    "shm.response.write",   # worker writes a response slot
-    "pipeline.edge.write",  # a pipeline stage ring slot is written
+    "shm.request.write",    # parent writes a slot of the first stage
+    "shm.response.write",   # last stage writes a slot back to the parent
+    "pipeline.edge.write",  # a stage writes a slot of the next stage
     "plan_cache.load",      # parent loads a compiled plan during (re)spawn
     "respawn",              # parent enters the worker respawn path
 )

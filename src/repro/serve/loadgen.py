@@ -396,8 +396,8 @@ def run_loadtest(model: Model, images: np.ndarray, config: Optional[ServeConfig]
     """Start a service, drive it with a seeded arrival process, drain, report.
 
     ``collect_profile=True`` additionally gathers every worker's plan-stage
-    breakdown (fetched from the worker processes in ``workers="process"``
-    mode) before shutting the service down.
+    breakdown (as last reported by the worker processes in
+    ``workers="process"`` mode) before shutting the service down.
 
     ``scenario`` selects the drive (see the module docstring): ``steady``
     is the plain open loop, ``overload`` summarises admission-control

@@ -85,7 +85,8 @@ class WorkerSnapshot:
     conversions: int
     busy_seconds: float
     mode: str = "thread"
-    #: Seconds spent moving batches to/from the worker (process transport).
+    #: Seconds the worker's stage processes spent waiting for free output
+    #: slots and copying batches into them (zero for thread workers).
     transport_s: float = 0.0
     #: Per-stage occupancy of a pipeline-sharded worker (empty otherwise).
     stages: tuple = ()

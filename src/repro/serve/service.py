@@ -39,11 +39,9 @@ from __future__ import annotations
 
 import asyncio
 import collections
-import concurrent.futures
 import copy
 import dataclasses
 import pickle
-import signal
 import time
 import warnings
 from random import Random
@@ -82,149 +80,10 @@ from repro.serve.scheduler import (
     build_worker_states,
     create_scheduler,
 )
-from repro.serve.shm import IntegrityError, ShmChannel, SlotRing
-
-
-#: Execution plan owned by one process-pool worker (set by the initializer).
-_PROCESS_PLAN = None
-
-#: Worker-side (requests, responses) ring pair once the parent attached one.
-_PROCESS_RINGS: Optional[Tuple[SlotRing, SlotRing]] = None
-#: Keeps the worker's heartbeat-ring attachment alive for the process
-#: lifetime (the beat thread writes through it until the process dies).
-_PROCESS_HEARTBEAT_RING: Optional[SlotRing] = None
-
-
-def _init_process_worker(payload: bytes,
-                         fault_spec: Optional[Dict] = None) -> None:
-    """Process-pool initializer: unpickle the shipped execution plan.
-
-    Runs once per worker process.  The plan arrives as explicit pickle bytes
-    (not fork-inherited state) so ``workers="process"`` behaves identically
-    under every multiprocessing start method.  ``fault_spec`` (plain dict
-    form) installs the deterministic fault injector process-globally —
-    each worker process owns its own per-site call counters, which is what
-    keeps chaos runs replayable across respawns.
-    """
-    global _PROCESS_PLAN
-    if fault_spec:
-        fault_injector.install(fault_spec)
-    _PROCESS_PLAN = pickle.loads(payload)
-
-
-def _process_ready() -> Optional[int]:
-    """Probe task: the plan's conversion counter, or None if uninitialised.
-
-    The counter is non-zero right after prepare (macro calibration spends
-    conversions), so the parent records it as the metering baseline — the
-    first served batch must not be billed for preparation, exactly as the
-    thread workers' per-forward deltas never are.
-    """
-    if _PROCESS_PLAN is None:
-        return None
-    return _PROCESS_PLAN.conversions()
-
-
-def _process_forward(images: np.ndarray, traced: bool = False) -> Tuple:
-    """Pickle-transport batch: (logits, total conversions, forward s, spans).
-
-    ``traced`` batches record per-layer plan spans into a worker-local
-    buffer (this interpreter's ``perf_counter`` clock, relative to the
-    forward start) that ride home on the result tuple for the parent to
-    re-anchor.
-    """
-    fault_injector.fire("worker.forward")
-    start = time.perf_counter()
-    spans: List = []
-    if traced:
-        buffer = PlanTraceBuffer(t0=start)
-        with plan_trace(buffer):
-            logits = _PROCESS_PLAN.forward(images)
-        spans = buffer.records
-    else:
-        logits = _PROCESS_PLAN.forward(images)
-    return (logits, _PROCESS_PLAN.conversions(),
-            time.perf_counter() - start, spans)
-
-
-def _process_attach_rings(request_name: str, response_name: str, slots: int,
-                          request_nbytes: int, response_nbytes: int,
-                          checksum: bool = False) -> bool:
-    """Attach the parent's shared-memory rings (worker side, never unlinks)."""
-    global _PROCESS_RINGS
-    requests = SlotRing.attach(request_name, slots, request_nbytes,
-                               checksum=checksum)
-    responses = SlotRing.attach(response_name, slots, response_nbytes,
-                                checksum=checksum)
-    if fault_injector.get_installed() is not None:
-        # Response corruption is injected post-CRC into the slot this
-        # worker just wrote, so the parent's read-side check catches it.
-        responses.fault_site = "shm.response"
-    _PROCESS_RINGS = (requests, responses)
-    return True
-
-
-def _process_start_heartbeat(name: str, slots: int, index: int,
-                             interval_s: float) -> bool:
-    """Attach the parent's heartbeat ring and start the beat thread."""
-    import threading
-
-    global _PROCESS_HEARTBEAT_RING
-    ring = SlotRing.attach(name, slots, 8)
-    # The ring must outlive this call: dropping the last reference would
-    # garbage-collect the SharedMemory mapping under the beat thread, which
-    # then dies after its first write — and the watchdog would reap every
-    # healthy worker at exactly the timeout.
-    _PROCESS_HEARTBEAT_RING = ring
-    cell = ring.view(index, (1,), np.float64)
-
-    def _beat() -> None:
-        count = 0.0
-        while True:
-            count += 1.0
-            cell[0] = count
-            time.sleep(interval_s)
-
-    threading.Thread(target=_beat, daemon=True, name="heartbeat").start()
-    return True
-
-
-def _process_forward_shm(slot: int, shape: Tuple[int, ...],
-                         traced: bool = False) -> Tuple:
-    """Shared-memory batch: read the request slot, run, fill the response slot.
-
-    The plan consumes a zero-copy view of the request slot (forwards never
-    mutate their input) and the logits are written into the matching
-    response slot; only these few coordinates cross the executor pipe.
-    Logits too large for the slot fall back to being returned by value.
-    Traced batches additionally ship their per-layer plan spans (see
-    :func:`_process_forward`) — span tuples are tiny, so they ride the
-    pipe even on the shared-memory transport.
-    """
-    requests, responses = _PROCESS_RINGS
-    images = requests.read(slot, shape)
-    fault_injector.fire("worker.forward")
-    start = time.perf_counter()
-    spans: List = []
-    if traced:
-        buffer = PlanTraceBuffer(t0=start)
-        with plan_trace(buffer):
-            logits = _PROCESS_PLAN.forward(images)
-        spans = buffer.records
-    else:
-        logits = _PROCESS_PLAN.forward(images)
-    forward_s = time.perf_counter() - start
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    total = _PROCESS_PLAN.conversions()
-    if responses.fits(logits.nbytes):
-        responses.write(slot, logits)
-        return ("shm", logits.shape, total, forward_s, spans)
-    return ("pickle", logits, total, forward_s, spans)
-
-
-def _process_profile() -> Dict[str, float]:
-    """Per-stage wall-clock breakdown of the worker's plan."""
-    return _PROCESS_PLAN.stage_profile()
+# Bound as modules, not names: repro.shard.pipeline imports repro.serve.shm,
+# so either package may be the one imported first.
+from repro.shard import partition as shard_partition
+from repro.shard import pipeline as shard_pipeline
 
 
 class _ThreadWorker:
@@ -283,212 +142,20 @@ class _ThreadWorker:
         await asyncio.to_thread(self.runner.close)
 
 
-class _ProcessWorker:
-    """Out-of-process worker: a pickled plan running in its own interpreter.
-
-    One single-process executor per worker keeps batch→worker affinity (the
-    scheduler's placement decisions stay meaningful) and gives each plan a
-    real core of its own — NumPy sections that hold the GIL no longer
-    serialise against the other replicas.
-
-    Transport: ``"shm"`` (default) serves steady-state batches through the
-    parent-owned shared-memory rings of :mod:`repro.serve.shm` — one copy
-    in, one copy out, a fixed slot count with backpressure and only slot
-    coordinates on the executor pipe.  The first batch rides the pickle
-    path and teaches the ring its slot layout; batches that do not fit a
-    slot (oversized one-off requests) fall back to pickling per batch.
-    ``"pickle"`` keeps the original serialise-every-batch transport (the
-    benchmark baseline).  ``transport_s`` accumulates the time each batch
-    spent outside the remote forward — serialisation, copies and executor
-    round-trip — and feeds the ``--profile`` transport row.
-    """
-
-    mode = "process"
-
-    def __init__(self, payload: bytes, transport: str = "shm",
-                 max_batch: int = 64, slots: int = 4,
-                 checksum: bool = False, fault_spec: Optional[Dict] = None,
-                 heartbeat_interval_s: Optional[float] = None) -> None:
-        self.executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=1, initializer=_init_process_worker,
-            initargs=(payload, fault_spec))
-        self.transport = transport
-        self.max_batch = max(int(max_batch), 1)
-        self.slots = max(int(slots), 1)
-        self.checksum = bool(checksum)
-        self.fault_spec = fault_spec
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.transport_s = 0.0
-        self._conversions_total = 0
-        self._channel: Optional[ShmChannel] = None
-        self._free_slots: Optional[asyncio.Queue] = None
-        self._logit_row_nbytes = 0
-        self._heartbeat_ring: Optional[SlotRing] = None
-
-    async def start(self) -> None:
-        """Fail fast if the worker process cannot reconstruct the plan."""
-        loop = asyncio.get_running_loop()
-        baseline = await loop.run_in_executor(self.executor, _process_ready)
-        if baseline is None:
-            raise RuntimeError("process worker failed to initialise its plan")
-        self._conversions_total = baseline
-        if self.heartbeat_interval_s is not None:
-            try:
-                ring = SlotRing(1, 8)
-                await loop.run_in_executor(
-                    self.executor, _process_start_heartbeat, ring.name, 1, 0,
-                    float(self.heartbeat_interval_s))
-                self._heartbeat_ring = ring
-            except Exception as exc:  # noqa: BLE001 — watchdog is optional
-                warnings.warn(
-                    f"worker heartbeat unavailable ({exc!r}); running "
-                    "without the heartbeat watchdog", RuntimeWarning,
-                    stacklevel=2)
-
-    def heartbeat_counts(self) -> Optional[Tuple[float, ...]]:
-        """The worker's heartbeat counter, or None when disabled."""
-        if self._heartbeat_ring is None:
-            return None
-        return (float(self._heartbeat_ring.view(0, (1,), np.float64)[0]),)
-
-    def kill(self) -> None:
-        """SIGKILL the worker process (hung-worker reaper; sync, best-effort).
-
-        ``close()``'s ``executor.shutdown(wait=True)`` would join a *hung*
-        worker process forever, so the watchdog path hard-kills it first —
-        after which shutdown's join returns immediately.
-        """
-        for proc in list(getattr(self.executor, "_processes", {}).values()):
-            try:
-                proc.kill()
-            except Exception:  # noqa: BLE001 — already reaped
-                pass
-
-    async def _build_channel(self, images: np.ndarray, logits: np.ndarray) -> None:
-        """Size and attach the rings from the first served batch's layout."""
-        rows = max(int(images.shape[0]), 1)
-        row_nbytes = max(images.nbytes // rows, 1)
-        logit_row_nbytes = max(logits.nbytes // rows, 8)
-        slot_rows = max(self.max_batch, rows)
-        loop = asyncio.get_running_loop()
-        channel: Optional[ShmChannel] = None
-        try:
-            channel = ShmChannel(self.slots, slot_rows * row_nbytes,
-                                 slot_rows * logit_row_nbytes,
-                                 checksum=self.checksum)
-            if self.fault_spec:
-                # Request slots are written by the parent; the injected
-                # corruption flips bytes after the CRC header is stored.
-                channel.requests.fault_site = "shm.request"
-            await loop.run_in_executor(self.executor, _process_attach_rings,
-                                       *channel.describe())
-        except Exception as exc:  # noqa: BLE001 — /dev/shm unavailable, worker dead…
-            # Shared memory is an optimisation; keep serving over pickle —
-            # but loudly, so an unmounted /dev/shm cannot silently turn an
-            # A/B transport comparison into pickle-vs-pickle.
-            if channel is not None:
-                channel.close(unlink=True)
-            self.transport = "pickle"
-            warnings.warn(
-                f"shared-memory transport unavailable ({exc!r}); "
-                "process worker falls back to the pickle transport",
-                RuntimeWarning, stacklevel=2)
-            return
-        self._channel = channel
-        self._logit_row_nbytes = logit_row_nbytes
-        self._free_slots = asyncio.Queue()
-        for slot in range(self.slots):
-            self._free_slots.put_nowait(slot)
-
-    def _slot_serves(self, images: np.ndarray) -> bool:
-        return (self._channel is not None
-                and self._channel.requests.fits(images.nbytes)
-                and self._channel.responses.fits(
-                    int(images.shape[0]) * self._logit_row_nbytes))
-
-    @property
-    def shm_segment_names(self) -> List[str]:
-        """Names of this worker's segments (empty on the pickle transport)."""
-        names = [] if self._channel is None else list(self._channel.segment_names)
-        if self._heartbeat_ring is not None:
-            names.append(self._heartbeat_ring.name)
-        return names
-
-    async def forward(self, images: np.ndarray, traced: bool = False
-                      ) -> Tuple[np.ndarray, int, Optional[List]]:
-        """Run one batch; returns (logits, measured conversions, remote spans).
-
-        ``remote`` (traced batches only) is ``[(None, forward_s, records)]``
-        — the worker interpreter's relative-clock spans, piggybacked on the
-        result tuple over whichever transport served the batch.
-        """
-        loop = asyncio.get_running_loop()
-        start = time.perf_counter()
-        if self._slot_serves(images):
-            # Backpressure: wait for a free slot instead of buffering.
-            slot = await self._free_slots.get()
-            try:
-                self._channel.requests.write(slot, images)
-                outcome = await loop.run_in_executor(
-                    self.executor, _process_forward_shm, slot, images.shape,
-                    traced)
-                if outcome[0] == "shm":
-                    _, shape, total, forward_s, spans = outcome
-                    # Copy out before the slot is released for reuse; with
-                    # checksums on, read() verifies the worker's CRC here.
-                    logits = np.array(self._channel.responses.read(slot, shape))
-                else:
-                    _, logits, total, forward_s, spans = outcome
-            finally:
-                self._free_slots.put_nowait(slot)
-        else:
-            logits, total, forward_s, spans = await loop.run_in_executor(
-                self.executor, _process_forward, images, traced)
-            if self.transport == "shm" and self._channel is None:
-                await self._build_channel(images, logits)
-        measured = total - self._conversions_total
-        self._conversions_total = total
-        self.transport_s += max(time.perf_counter() - start - forward_s, 0.0)
-        remote = [(None, forward_s, spans)] if traced else None
-        return logits, measured, remote
-
-    async def stage_profile(self) -> Dict[str, float]:
-        """The remote plan's stage breakdown plus parent-side transport time."""
-        loop = asyncio.get_running_loop()
-        profile = await loop.run_in_executor(self.executor, _process_profile)
-        profile["transport_s"] = self.transport_s
-        return profile
-
-    async def close(self) -> None:
-        """Shut the worker process down and unlink its shared memory.
-
-        The parent owns the segments, so they are removed even when the
-        worker process already crashed mid-batch.
-        """
-        try:
-            await asyncio.to_thread(self.executor.shutdown, True)
-        finally:
-            if self._channel is not None:
-                self._channel.close(unlink=True)
-                self._channel = None
-            if self._heartbeat_ring is not None:
-                self._heartbeat_ring.close()
-                self._heartbeat_ring.unlink()
-                self._heartbeat_ring = None
-
-
 class _PipelineWorker:
-    """Sharded worker: the replica's plan split across pipeline stage processes.
+    """Out-of-process worker: the replica's plan in stage processes.
 
-    The replica's compiled plan is cut at layer boundaries into per-stage
-    partial plans (greedy cost balance under the ``macro_budget`` crossbar
-    constraint — see :mod:`repro.shard.partition`), each stage runs in its
-    own process, and batches stream between stages over per-edge
-    shared-memory slot rings (:class:`repro.shard.pipeline.ShardedPipeline`).
-    Unlike the one-batch-at-a-time workers above, a pipeline worker serves
-    ``max_inflight`` batches concurrently — that overlap across stages is
-    the throughput win — so the service's worker loop pumps it with
-    concurrent tasks instead of awaiting each batch.
+    Every out-of-process replica is a
+    :class:`repro.shard.pipeline.ShardedPipeline`.  With one payload — the
+    whole compiled plan — it is a single worker process (mode
+    ``"process"``).  With ``pipeline_stages >= 2`` the plan is cut at layer
+    boundaries into per-stage partial plans (greedy cost balance under the
+    ``macro_budget`` crossbar constraint — see :mod:`repro.shard.partition`)
+    and each stage runs in its own process (mode ``"pipeline"``).  Batches
+    move over per-edge shared-memory slot rings either way.  A multi-stage
+    pipeline serves ``max_inflight`` batches concurrently — that overlap
+    across stages is the throughput win — so the service's worker loop
+    pumps it with concurrent tasks instead of awaiting each batch.
 
     Submissions are ordered by an asyncio lock: batches must *enter* the
     pipeline in dispatch order (the FIFO stage rings then preserve it),
@@ -496,22 +163,22 @@ class _PipelineWorker:
     serving even for the order-sensitive analog noise streams.
     """
 
-    mode = "pipeline"
-
-    def __init__(self, partition, max_batch: int = 64, slots: int = 2,
-                 checksum: bool = False, fault_spec: Optional[Dict] = None,
+    def __init__(self, payloads: List[bytes], max_batch: int = 64,
+                 slots: int = 2, checksum: bool = False,
+                 fault_spec: Optional[Dict] = None,
                  heartbeat_interval_s: Optional[float] = None) -> None:
-        from repro.shard.pipeline import ShardedPipeline
-
-        self.partition = partition
-        self.pipeline = ShardedPipeline(partition.payloads,
-                                        max_batch=max_batch, slots=slots,
-                                        checksum=checksum,
-                                        fault_spec=fault_spec,
-                                        heartbeat_interval_s=heartbeat_interval_s)
-        #: Batches the worker loop may keep in flight at once.
-        self.max_inflight = partition.num_stages + max(int(slots), 1)
+        self.pipeline = shard_pipeline.ShardedPipeline(
+            payloads, max_batch=max_batch, slots=slots, checksum=checksum,
+            fault_spec=fault_spec, heartbeat_interval_s=heartbeat_interval_s)
+        self.mode = "pipeline" if len(payloads) > 1 else "process"
+        #: Batches the worker loop may keep in flight at once.  A one-stage
+        #: replica has no stages to overlap and serves one batch at a
+        #: time, so every batch after the first finds the rings built.
+        self.max_inflight = (len(payloads) + max(int(slots), 1)
+                             if self.mode == "pipeline" else 1)
         self.transport_s = 0.0
+        #: Latest per-stage accounting; left empty for a one-stage replica,
+        #: whose single stage is the whole worker.
         self.stage_stats: List[Dict] = []
         self._conversions_total = 0
         self._submit_lock: Optional[asyncio.Lock] = None
@@ -526,7 +193,7 @@ class _PipelineWorker:
         return self.pipeline.heartbeat_counts()
 
     def kill(self) -> None:
-        """SIGKILL every stage process (hung-pipeline reaper)."""
+        """SIGKILL every stage process (hung-worker reaper)."""
         self.pipeline.kill()
 
     @property
@@ -542,14 +209,22 @@ class _PipelineWorker:
         batch's forward seconds in its stats dict; ``remote`` lays them out
         in stage order — ``[(stage_index, batch_forward_s, spans), ...]`` —
         so the parent renders the stages sequentially under the dispatch
-        span (their real overlap is across *batches*, not within one).
+        span (their real overlap is across *batches*, not within one).  A
+        one-stage replica ships stage index ``None``: its span is the
+        plain ``worker_forward``.
         """
-        loop = asyncio.get_running_loop()
-        async with self._submit_lock:
-            # submit() may block on edge-0 backpressure; keep it off the
-            # event loop, but under the lock so batches enter in order.
-            future = await loop.run_in_executor(None, self.pipeline.submit,
-                                                images, traced)
+        if self.max_inflight == 1:
+            # One batch at a time, and a stage hands its request slot back
+            # before it reports the batch done: submit() never waits for a
+            # slot here, so it runs on the loop, sparing a thread hop.
+            future = self.pipeline.submit(images, traced)
+        else:
+            loop = asyncio.get_running_loop()
+            async with self._submit_lock:
+                # submit() may block on edge-0 backpressure; keep it off the
+                # event loop, but under the lock so batches enter in order.
+                future = await loop.run_in_executor(
+                    None, self.pipeline.submit, images, traced)
         logits, stats = await asyncio.wrap_future(future)
         # Each stage stamps its cumulative conversion count as the batch
         # passes, so a completed batch carries a consistent "all stages
@@ -557,21 +232,23 @@ class _PipelineWorker:
         total = sum(stage["conversions"] for stage in stats)
         measured = total - self._conversions_total
         self._conversions_total = total
-        self.stage_stats = stats
+        staged = self.mode == "pipeline"
+        if staged:
+            self.stage_stats = stats
         self.transport_s = sum(stage["transport_s"] for stage in stats)
         remote = None
         if traced:
             remote = [
-                (stage.get("stage", position),
+                (stage["stage"] if staged else None,
                  stage.get("batch_forward_s", 0.0),
                  stage.get("spans", []))
-                for position, stage in enumerate(stats)
+                for stage in stats
             ]
         return logits, measured, remote
 
     async def stage_profile(self) -> Dict[str, float]:
-        """Summed plan-stage breakdown plus a per-pipeline-stage list."""
-        stats = self.pipeline.stage_stats() or self.stage_stats
+        """Summed plan-stage breakdown (plus a per-stage list when staged)."""
+        stats = self.pipeline.stage_stats()
         combined: Dict[str, float] = {
             "dac_s": 0.0, "crossbar_s": 0.0, "adc_s": 0.0, "digital_s": 0.0,
             "total_s": 0.0, "forwards": 0.0, "transport_s": 0.0,
@@ -595,7 +272,11 @@ class _PipelineWorker:
                 "batches": stage.get("batches", 0),
                 "profile": profile,
             })
-        combined["stages"] = stages
+        if self.mode == "pipeline":
+            combined["stages"] = stages
+        else:
+            # A lone stage waiting for input is idle, not a pipeline bubble.
+            combined["bubble_s"] = 0.0
         return combined
 
     async def close(self) -> None:
@@ -645,30 +326,24 @@ class ServeConfig:
     workers:
         Worker substrate: ``"thread"`` (default) runs each replica's
         forwards in worker threads of the service process; ``"process"``
-        builds each replica's execution plan once, pickles it and ships it
-        to a dedicated single-process executor — real cores instead of
-        GIL-shared threads, with deterministic per-worker state (replica
-        ``i`` is constructed by the same seeded recipe in both modes, so
-        served logits match the in-loop workers bit for bit).
-    transport:
-        Batch transport of ``workers="process"``: ``"shm"`` (default)
-        moves images and logits through parent-owned shared-memory rings
-        (zero-copy views in the worker, fixed slot count with backpressure,
-        unlinked on close); ``"pickle"`` serialises every batch through the
-        executor pipe — the pre-shared-memory behaviour, kept as the
-        benchmark baseline.  Ignored by thread workers.
+        builds each replica's execution plan once, pickles it and serves
+        it as a one-stage :class:`~repro.shard.pipeline.ShardedPipeline`
+        — a worker process of its own, fed over parent-owned
+        shared-memory slot rings.  Real cores instead of GIL-shared
+        threads, with deterministic per-worker state (replica ``i`` is
+        constructed by the same seeded recipe in both modes, so served
+        logits match the in-loop workers bit for bit).
     transport_slots:
-        Ring slots per process worker (the in-flight bound of the
-        shared-memory transport); also the per-edge slot count of the
-        pipeline stage rings.
+        Slots per shared-memory ring edge of a process replica: the
+        backpressure bound between the parent and the first stage, between
+        stages and from the last stage back to the parent.
     pipeline_stages:
-        ``>= 2`` serves each replica as a sharded stage pipeline: the
-        compiled plan is cut at layer boundaries into that many per-stage
-        partial plans (cost-balanced on ``pipeline_probe`` /
-        ``context.calibration`` when available), each stage runs in its
-        own process, and batches stream between stages over shared-memory
-        slot rings with backpressure (:mod:`repro.shard`).  ``1`` (the
-        default) keeps the ordinary one-worker-per-replica modes.
+        ``>= 2`` cuts each replica's compiled plan at layer boundaries
+        into that many per-stage partial plans (cost-balanced on
+        ``pipeline_probe`` / ``context.calibration`` when available), each
+        run in its own process, with batches streaming between stages over
+        the shared-memory slot rings (:mod:`repro.shard`).  ``1`` (the
+        default) serves the whole plan in one thread or one process.
     pipeline_probe:
         Optional representative input batch used to measure per-layer cost
         for the pipeline partitioner (falls back to ``context.calibration``,
@@ -817,7 +492,6 @@ class ServeConfig:
     max_wait_ms: float = 2.0
     num_workers: int = 1
     workers: str = "thread"
-    transport: str = "shm"
     transport_slots: int = 4
     pipeline_stages: int = 1
     pipeline_probe: Optional[np.ndarray] = None
@@ -872,11 +546,6 @@ class InferenceService:
             raise ValueError(
                 f"unknown worker mode {self.config.workers!r}; "
                 "choose 'thread' or 'process'"
-            )
-        if self.config.transport not in ("shm", "pickle"):
-            raise ValueError(
-                f"unknown process transport {self.config.transport!r}; "
-                "choose 'shm' or 'pickle'"
             )
         if self.config.pipeline_stages < 1:
             raise ValueError("pipeline_stages must be >= 1")
@@ -947,7 +616,7 @@ class InferenceService:
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[DynamicBatcher] = None
         self._worker_states: List[WorkerState] = []
-        self._workers: List[Optional[Union[_ThreadWorker, _ProcessWorker,
+        self._workers: List[Optional[Union[_ThreadWorker,
                                            _PipelineWorker]]] = []
         self._worker_queues: List[asyncio.Queue] = []
         self._tasks: List[asyncio.Task] = []
@@ -1199,33 +868,22 @@ class InferenceService:
         self._pipeline_partition = partition
         return partition
 
-    async def _build_worker(self) -> Union["_ThreadWorker", "_ProcessWorker",
-                                           "_PipelineWorker"]:
+    async def _build_worker(self) -> Union["_ThreadWorker", "_PipelineWorker"]:
         """Build and start one worker of the configured substrate."""
         config = self.config
-        heartbeat = (config.heartbeat_interval_s
-                     if config.heartbeat_timeout_s is not None else None)
-        if config.pipeline_stages > 1:
-            partition = await self._partition_payloads()
-            worker = _PipelineWorker(partition, max_batch=config.max_batch,
+        if self._worker_mode != "thread":
+            # One stage ships the whole cached plan; N stages ship the
+            # partition's per-stage partial plans.
+            payloads = ((await self._partition_payloads()).payloads
+                        if config.pipeline_stages > 1
+                        else [await self._process_plan_payload()])
+            heartbeat = (config.heartbeat_interval_s
+                         if config.heartbeat_timeout_s is not None else None)
+            worker = _PipelineWorker(payloads, max_batch=config.max_batch,
                                      slots=config.transport_slots,
                                      checksum=config.shm_integrity,
                                      fault_spec=self._fault_spec_dict,
                                      heartbeat_interval_s=heartbeat)
-            try:
-                await worker.start()
-            except Exception:
-                await worker.close()
-                raise
-            return worker
-        if config.workers == "process":
-            payload = await self._process_plan_payload()
-            worker = _ProcessWorker(payload, transport=config.transport,
-                                    max_batch=config.max_batch,
-                                    slots=config.transport_slots,
-                                    checksum=config.shm_integrity,
-                                    fault_spec=self._fault_spec_dict,
-                                    heartbeat_interval_s=heartbeat)
             try:
                 await worker.start()
             except Exception:
@@ -1264,7 +922,7 @@ class InferenceService:
                         pass
                     setattr(self, attribute, None)
             # Let in-flight respawns finish (they check _stopping and tear
-            # their worker back down) so no executor leaks past stop.
+            # their worker back down) so no worker process leaks past stop.
             if self._respawn_tasks:
                 await asyncio.gather(*list(self._respawn_tasks),
                                      return_exceptions=True)
@@ -1412,15 +1070,10 @@ class InferenceService:
     # ------------------------------------------------------------------
     def _build_partition(self, runner: BatchRunner):
         """Cut a prepared replica plan into pipeline stage payloads."""
-        # Imported lazily: repro.shard pulls in the pipeline machinery only
-        # pipeline-mode services need (and avoids an import cycle through
-        # repro.serve.shm).
-        from repro.shard.partition import build_stage_payloads
-
         config = self.config
         probe = (config.pipeline_probe if config.pipeline_probe is not None
                  else config.context.calibration)
-        return build_stage_payloads(
+        return shard_partition.build_stage_payloads(
             runner.plan, config.pipeline_stages, probe=probe,
             max_macros_per_stage=config.macro_budget)
 
@@ -1429,12 +1082,10 @@ class InferenceService:
         self._enforce_plan_budget(runner.plan)
 
     def _enforce_plan_budget(self, plan) -> None:
-        from repro.shard.partition import CapacityError, count_plan_macros
-
-        used = count_plan_macros(plan)
+        used = shard_partition.count_plan_macros(plan)
         budget = self.config.macro_budget
         if used > budget:
-            raise CapacityError(
+            raise shard_partition.CapacityError(
                 f"model maps onto {used} macros but the worker crossbar "
                 f"budget is {budget}; shard it with "
                 f"ServeConfig(pipeline_stages>= {-(-used // budget)})"
@@ -1615,7 +1266,7 @@ class InferenceService:
         batch, estimate, retries = item
         if not state.alive and not state.retired and not self._stopping:
             # Queued before the worker's death was noticed: skip the doomed
-            # forward (the executor is closed or closing) and go straight
+            # forward (the worker is closed or closing) and go straight
             # to the retry path.  Retired workers still drain their queue.
             state.accelerator.cancel_inference(estimate)
             await self._retry_or_fail(
@@ -1676,8 +1327,8 @@ class InferenceService:
             # Dispatch deadline: the forward outlived its SLO budget — a
             # wedged worker (injected hang, livelock) that never raises.
             # Classified exactly like a death, plus a hard kill() first:
-            # executor shutdown would otherwise join the hung process
-            # forever.  Must precede the generic handler — on Python 3.11+
+            # an orderly close would otherwise wait on the hung process.
+            # Must precede the generic handler — on Python 3.11+
             # asyncio.TimeoutError is the builtin TimeoutError.
             if dispatch_span is not None:
                 self.tracer.end(dispatch_span, error="dispatch_timeout")
@@ -1711,10 +1362,10 @@ class InferenceService:
                                   error=repr(exc))
                 await self._retry_or_fail(batch, retries, exc)
                 return
-            # A fault is worker-level either by type (BrokenExecutor,
-            # StageDiedError) or by correlation: the worker was marked
-            # dead while this batch raced its teardown, so errors like
-            # "cannot schedule new futures after shutdown" still count.
+            # A fault is worker-level either by type (StageDiedError) or
+            # by correlation: the worker was marked dead while this batch
+            # raced its teardown, so errors like "pipeline is not running"
+            # still count.
             death = (self._is_worker_death(exc)
                      or (not state.alive and not state.retired))
             if death and not self._stopping:
@@ -1770,13 +1421,7 @@ class InferenceService:
     # ------------------------------------------------------------------
     def _is_worker_death(self, exc: BaseException) -> bool:
         """Whether ``exc`` means the *worker* died rather than the batch."""
-        if isinstance(exc, concurrent.futures.BrokenExecutor):
-            return True  # process worker gone (BrokenProcessPool et al.)
-        try:
-            from repro.shard.pipeline import StageDiedError
-        except ImportError:  # pragma: no cover - shard always ships
-            return False
-        return isinstance(exc, StageDiedError)
+        return isinstance(exc, shard_pipeline.StageDiedError)
 
     def _is_corruption(self, exc: BaseException) -> bool:
         """Whether ``exc`` is a transport-integrity (CRC) failure.
@@ -1784,13 +1429,7 @@ class InferenceService:
         Corruption means the *payload* went bad in flight, not the worker:
         the batch is re-dispatched but nothing is killed or respawned.
         """
-        if isinstance(exc, IntegrityError):
-            return True
-        try:
-            from repro.shard.pipeline import StageCorruptionError
-        except ImportError:  # pragma: no cover - shard always ships
-            return False
-        return isinstance(exc, StageCorruptionError)
+        return isinstance(exc, shard_pipeline.StageCorruptionError)
 
     def _dispatch_timeout_for(self, batch: List[Request]) -> Optional[float]:
         """The dispatch deadline for ``batch`` (tightest member's class).
@@ -1817,8 +1456,7 @@ class InferenceService:
 
         ``kill=True`` (hung workers: dispatch timeouts, heartbeat trips)
         SIGKILLs the worker's processes before teardown — a wedged process
-        never exits on its own, and a plain executor shutdown would join
-        it forever.
+        never exits on its own, and an orderly close would wait on it.
         """
         if not state.alive or state.retired or self._stopping:
             return
@@ -2179,23 +1817,16 @@ class InferenceService:
     def process_worker_pids(self) -> Dict[int, List[int]]:
         """PIDs of the live worker processes, keyed by worker index.
 
-        Process workers report their single executor process; pipeline
-        workers report every live stage process.  Thread workers (and dead
-        or retired workers) are absent.  This is what the kill-storm
-        loadgen scenario and the chaos tests aim their SIGKILLs at.
+        Every live stage process of a process or pipeline worker is listed
+        (one for ``workers="process"``).  Thread workers (and dead or
+        retired workers) are absent.  This is what the kill-storm loadgen
+        scenario and the chaos tests aim their SIGKILLs at.
         """
         pids: Dict[int, List[int]] = {}
         for state in self._worker_states:
-            if not state.alive:
-                continue
             worker = self._workers[state.index]
-            if isinstance(worker, _ProcessWorker):
-                procs = list(getattr(worker.executor, "_processes", None) or {})
-                if procs:
-                    pids[state.index] = [int(pid) for pid in procs]
-            elif isinstance(worker, _PipelineWorker):
-                procs = [int(proc.pid) for proc in worker.pipeline._procs
-                         if proc.is_alive()]
+            if state.alive and isinstance(worker, _PipelineWorker):
+                procs = worker.pipeline.live_pids()
                 if procs:
                     pids[state.index] = procs
         return pids
@@ -2205,20 +1836,21 @@ class InferenceService:
         return sum(1 for state in self._worker_states if state.alive)
 
     def transport_counters(self) -> Dict[str, int]:
-        """Summed shm-ring writes/bytes across the live process workers.
+        """Summed parent-side shm-ring writes/bytes of the process workers.
 
-        Empty-ringed workers (thread mode, pickle transport, pre-first-
-        batch) contribute zeros; the exposition reports the totals as
-        ``shm_*`` gauges.
+        The parent writes only each worker's edge-0 request ring; the
+        response rings are written inside the worker processes, so the
+        ``response_*`` counts stay zero here.  Thread workers and rings not
+        yet built (before the first batch completes) contribute zeros; the
+        exposition reports the totals as ``shm_*`` gauges.
         """
         totals = {"request_writes": 0, "request_bytes": 0,
                   "response_writes": 0, "response_bytes": 0}
         for worker in self._workers:
-            channel = getattr(worker, "_channel", None)
-            if channel is None:
-                continue
-            for key, value in channel.transport_counters().items():
-                totals[key] += int(value)
+            if isinstance(worker, _PipelineWorker):
+                writes, nbytes = worker.pipeline.request_ring_counters()
+                totals["request_writes"] += writes
+                totals["request_bytes"] += nbytes
         return totals
 
     def pool_recovered(self) -> bool:
@@ -2231,8 +1863,8 @@ class InferenceService:
         """Per-worker plan-stage (DAC/crossbar/ADC/digital) breakdowns.
 
         Collect before :meth:`stop` — thread workers read their runner's
-        plan directly, process workers fetch the breakdown from the worker
-        interpreter.
+        plan directly, process workers report the breakdown their stages
+        shipped with the latest completed batch.
         """
         return [await worker.stage_profile() for worker in self._workers
                 if worker is not None]

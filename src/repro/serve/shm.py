@@ -1,28 +1,20 @@
-"""Shared-memory ring transport between the service and its process workers.
+"""Shared-memory slot rings: the batch transport of out-of-process workers.
 
-``workers="process"`` historically pickled every batch into the worker's
-executor pipe and pickled the logits back — two serialisations, chunked pipe
-writes and reads, and three copies per batch of pure software overhead.
-This module replaces that with ``multiprocessing.shared_memory`` rings:
+Process replicas and sharded pipelines (:mod:`repro.shard.pipeline`) move
+batches between processes through ``multiprocessing.shared_memory``
+segments instead of pickling them through pipes:
 
-* the parent owns two segments per worker — images in, logits out — each
-  cut into a fixed number of equally-sized **slots**;
-* a batch is written straight into a free request slot (one copy), the
-  worker runs its plan on a zero-copy view of that slot and writes the
-  logits into the matching response slot (one copy), and only the tiny
-  ``(slot, shape)`` coordinates cross the executor pipe;
-* the free-slot queue provides **backpressure**: a batch waits for a slot
-  instead of growing an unbounded buffer;
-* the parent creates and unlinks the segments, so ``service.close()``
-  always removes them from ``/dev/shm`` — even when the worker process
-  crashed mid-batch (attachment in the worker is excluded from its
-  resource tracker precisely so a dying worker cannot unlink the parent's
-  segments first).
-
-Slot sizes are learned from the first served batch (which rides the pickle
-path and doubles as the worker warm-up): ``max_batch`` rows of that batch's
-row layout, so steady-state traffic is zero-copy while oversized one-off
-requests transparently fall back to pickling.
+* each :class:`SlotRing` is one segment cut into a fixed number of
+  equally-sized **slots**; a producer copies an array into a free slot
+  (one copy) and only the tiny ``(slot, shape)`` coordinates travel on a
+  queue, while the consumer reads a zero-copy view of the slot;
+* the consumer hands drained slots back, which is the **backpressure**: a
+  producer waits for a slot instead of growing an unbounded buffer;
+* the parent creates and unlinks every segment, so shutdown always removes
+  them from ``/dev/shm`` — even when a worker process crashed mid-batch
+  (:func:`attach_segment` keeps attachments out of the worker's resource
+  tracker precisely so a dying worker cannot unlink the parent's segments
+  first).
 
 **Integrity (optional):** with ``checksum=True`` every slot is prefixed by
 a 16-byte header carrying the CRC32 and byte count of its payload,
@@ -39,7 +31,7 @@ from __future__ import annotations
 import struct
 import zlib
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -217,56 +209,6 @@ class SlotRing:
             self.segment.unlink()
         except FileNotFoundError:
             pass
-
-
-class ShmChannel:
-    """The parent-owned request/response ring pair of one process worker."""
-
-    def __init__(self, slots: int, request_slot_nbytes: int,
-                 response_slot_nbytes: int, checksum: bool = False) -> None:
-        self.requests = SlotRing(slots, request_slot_nbytes,
-                                 checksum=checksum)
-        try:
-            self.responses = SlotRing(slots, response_slot_nbytes,
-                                      checksum=checksum)
-        except Exception:
-            self.requests.close()
-            self.requests.unlink()
-            raise
-        self.slots = slots
-        self.checksum = bool(checksum)
-
-    @property
-    def segment_names(self) -> List[str]:
-        """Names of both segments (what the unlink tests check)."""
-        return [self.requests.name, self.responses.name]
-
-    def describe(self) -> Tuple[str, str, int, int, int, bool]:
-        """The attach coordinates shipped to the worker process."""
-        return (self.requests.name, self.responses.name, self.slots,
-                self.requests.slot_nbytes, self.responses.slot_nbytes,
-                self.checksum)
-
-    def transport_counters(self) -> Dict[str, int]:
-        """Cumulative parent-side slot writes and bytes through both rings.
-
-        Only the parent's copies are counted (batch in via ``requests``;
-        the worker writes ``responses`` in its own process), which is
-        exactly the serving process's shm transport cost.
-        """
-        return {
-            "request_writes": self.requests.writes,
-            "request_bytes": self.requests.bytes_written,
-            "response_writes": self.responses.writes,
-            "response_bytes": self.responses.bytes_written,
-        }
-
-    def close(self, unlink: bool = True) -> None:
-        """Close the mappings and (by default) unlink both segments."""
-        for ring in (self.requests, self.responses):
-            ring.close()
-            if unlink:
-                ring.unlink()
 
 
 def segment_exists(name: str) -> bool:

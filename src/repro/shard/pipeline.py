@@ -1,26 +1,31 @@
 """The pipeline executor: stage processes joined by shared-memory slot rings.
 
-:class:`ShardedPipeline` runs the pickled stage payloads of a
-:class:`~repro.shard.partition.StagePartition` as a chain of dedicated
-worker processes.  Batches stream through the chain as micro-batches: while
-stage 1 computes batch *b*, stage 0 is already computing batch *b+1*, so
-steady-state throughput approaches the slowest stage instead of the sum of
-all stages — the standard pipeline-parallel deployment of multi-macro CIM
-accelerators.
+:class:`ShardedPipeline` runs pickled stage payloads as a chain of
+dedicated worker processes: the per-stage partial plans of a
+:class:`~repro.shard.partition.StagePartition`, or one whole
+:class:`~repro.exec.plan.ModelPlan` — the one-stage chain that serves every
+``workers="process"`` replica of :mod:`repro.serve`.  Batches stream
+through the chain as micro-batches: while stage 1 computes batch *b*,
+stage 0 is already computing batch *b+1*, so steady-state throughput
+approaches the slowest stage instead of the sum of all stages — the
+standard pipeline-parallel deployment of multi-macro CIM accelerators.
 
-Transport generalises :mod:`repro.serve.shm` from parent↔worker to
-stage↔stage.  Every **edge** of the chain (parent→stage 0, stage
-*i*→stage *i+1*, last stage→parent) owns one parent-created
-:class:`~repro.serve.shm.SlotRing` plus two coordination queues: a *ready*
-queue carrying ``(seq, slot, shape)`` coordinates of filled slots
-downstream and a *free* queue returning drained slots upstream.  The free
-queue is the backpressure: a producer blocks for a slot instead of growing
-an unbounded buffer.  Slot layouts are learned from the first batch, which
-rides the queues by value (the pickle warm-up, exactly like the serve
-transport); oversized batches keep falling back to by-value transfer per
-batch.  The parent creates and unlinks every segment, so ``close()``
+Every **edge** of the chain (parent→stage 0, stage *i*→stage *i+1*, last
+stage→parent) owns one parent-created :class:`~repro.serve.shm.SlotRing`
+plus two coordination queues: a *ready* queue carrying ``(seq, slot,
+shape)`` coordinates of filled slots downstream and a *free* queue
+returning drained slots upstream.  The free queue is the backpressure: a
+producer blocks for a slot instead of growing an unbounded buffer.  Slot
+layouts are learned from the first batch, which rides the queues by value
+(the warm-up); oversized batches keep falling back to by-value transfer
+per batch.  The parent creates and unlinks every segment, so ``close()``
 removes them from ``/dev/shm`` even when a stage process was SIGKILLed
 mid-batch (stages attach tracker-free and only ever close their mapping).
+
+Fault-injection sites are named by edge position: the parent's writes
+into edge 0 fire ``shm.request.write``, the last stage's writes back to the
+parent fire ``shm.response.write`` and stage→stage writes fire
+``pipeline.edge.write``.
 
 Completion messages accumulate per-stage accounting as they flow: each
 stage appends its cumulative forward seconds, bubble seconds (input
@@ -35,6 +40,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import pickle
 import queue as queue_module
 import threading
@@ -72,6 +78,14 @@ class StageCorruptionError(PipelineStageError):
     *transport* mangled the batch, so the batch is re-dispatchable and the
     stage processes themselves stay up.
     """
+
+
+def _get(queue, timeout: float):
+    """``queue.get()`` on a :class:`multiprocessing.SimpleQueue` within
+    ``timeout`` seconds; raises :class:`queue.Empty` when nothing came."""
+    if not queue._reader.poll(timeout):
+        raise queue_module.Empty
+    return queue.get()
 
 
 def _start_heartbeat(ring: SlotRing, slot: int, interval_s: float) -> None:
@@ -165,7 +179,9 @@ def _stage_main(payload: bytes, stage_index: int, ready_in, ready_out,
                 if fault_injector.get_installed() is not None:
                     # Downstream handoff corruption is injected post-CRC
                     # into the slot this stage just wrote.
-                    out_ring.fault_site = "pipeline.edge"
+                    last = stage_index + 2 == len(descs)
+                    out_ring.fault_site = ("shm.response" if last
+                                           else "pipeline.edge")
                 ready_out.put(message)
                 continue
             if kind == "err":
@@ -344,9 +360,16 @@ class ShardedPipeline:
             raise RuntimeError("pipeline already started")
         context = multiprocessing.get_context()
         edges = self.num_stages + 1
-        self._ready = [context.Queue() for _ in range(edges)]
-        self._free = [context.Queue() for _ in range(edges)]
-        self._control = context.Queue()
+        # Queues a stage writes are plain pipes written synchronously, with
+        # no feeder thread to wake per message (the parent only seeds their
+        # free slots, a few bytes into empty pipes).  The queues the parent
+        # writes are feeder-backed, so a put towards a dead stage's full
+        # pipe can never block it.
+        self._ready = [context.Queue()] + [context.SimpleQueue()
+                                           for _ in range(self.num_stages)]
+        self._free = [context.SimpleQueue()
+                      for _ in range(self.num_stages)] + [context.Queue()]
+        self._control = context.SimpleQueue()
         self._rings = [None] * edges
         heartbeat = None
         if self.heartbeat_interval_s is not None:
@@ -394,7 +417,7 @@ class ShardedPipeline:
         while pending:
             timeout = max(deadline - time.monotonic(), 0.01)
             try:
-                message = self._control.get(timeout=timeout)
+                message = _get(self._control, timeout)
             except queue_module.Empty:
                 raise PipelineStageError(
                     f"stages {sorted(pending)} did not come up within "
@@ -426,6 +449,7 @@ class ShardedPipeline:
                 proc.terminate()
                 proc.join(timeout=1.0)
         if self._collector is not None:
+            # Every stage has exited by now, which wakes the collector.
             self._collector.join(timeout=2.0)
         self._fail_pending(PipelineStageError("pipeline closed"))
         for ring in self._rings:
@@ -440,7 +464,8 @@ class ShardedPipeline:
             if q is None:
                 continue
             try:
-                q.cancel_join_thread()
+                if hasattr(q, "cancel_join_thread"):
+                    q.cancel_join_thread()
                 q.close()
             except Exception:  # noqa: BLE001 — best-effort teardown
                 pass
@@ -559,7 +584,7 @@ class ShardedPipeline:
         """
         while True:
             try:
-                return self._free[0].get(timeout=0.2)
+                return _get(self._free[0], 0.2)
             except queue_module.Empty:
                 if self._closed or self._failure is not None:
                     return None
@@ -576,9 +601,16 @@ class ShardedPipeline:
     # ------------------------------------------------------------------
     def _collect_loop(self) -> None:
         final_ready = self._ready[-1]
+        # Sleep until a batch finishes or any stage process exits, so a
+        # dead stage fails its in-flight batches at once, not at a poll.
+        waitables = [final_ready._reader] + [proc.sentinel
+                                             for proc in self._procs]
+        idle = False
         while True:
             try:
-                message = final_ready.get(timeout=0.2)
+                if idle:
+                    multiprocessing.connection.wait(waitables, timeout=0.2)
+                message = _get(final_ready, 0)
             except queue_module.Empty:
                 if self._closed:
                     return
@@ -588,9 +620,11 @@ class ShardedPipeline:
                     self._abort(StageDiedError(
                         f"pipeline stage process(es) {dead} died"))
                     return
+                idle = True
                 continue
             except (OSError, ValueError, EOFError):
                 return  # queues torn down under us during close
+            idle = False
             if message is None:
                 return
             kind = message[0]
@@ -663,7 +697,7 @@ class ShardedPipeline:
         if self.fault_spec:
             # Edge 0 is written by the parent process; the other edges'
             # writers set their own site when they attach.
-            rings[0].fault_site = "pipeline.edge"
+            rings[0].fault_site = "shm.request"
         for edge, ring in enumerate(rings):
             for slot in range(self.slots):
                 self._free[edge].put(slot)
@@ -703,6 +737,21 @@ class ShardedPipeline:
         """Latest raw per-stage accounting dicts (profiles included)."""
         with self._state_lock:
             return [dict(stage) for stage in self._latest_stats]
+
+    def live_pids(self) -> List[int]:
+        """PIDs of the stage processes still alive."""
+        return [int(proc.pid) for proc in self._procs if proc.is_alive()]
+
+    def request_ring_counters(self) -> Tuple[int, int]:
+        """Slot writes and bytes the parent copied into the edge-0 ring.
+
+        Every other ring is written by a stage process, whose counters stay
+        in that process.
+        """
+        ring = self._rings[0] if self._rings else None
+        if ring is None:
+            return 0, 0
+        return ring.writes, ring.bytes_written
 
     @property
     def segment_names(self) -> List[str]:

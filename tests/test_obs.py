@@ -770,15 +770,16 @@ class TestTransportCounters:
         assert counters == {"request_writes": 0, "request_bytes": 0,
                             "response_writes": 0, "response_bytes": 0}
 
-    def test_shm_service_counts_ring_writes(self, trained_setup):
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_shm_service_counts_ring_writes(self, trained_setup, stages):
         model, _, x_test = trained_setup
 
         async def scenario():
             service = InferenceService(model, ServeConfig(
-                max_batch=8, workers="process", transport="shm"))
+                max_batch=8, workers="process", pipeline_stages=stages))
             await service.start()
             try:
-                # First batch rides pickle (teaches the ring); later
+                # First batch rides by value (teaches the rings); later
                 # batches go zero-copy and bump the counters.
                 await service.submit_many(x_test[:8])
                 await service.submit_many(x_test[8:16])
