@@ -45,10 +45,6 @@ def build_run_parser() -> argparse.ArgumentParser:
                         help="print the plan's per-stage wall-clock breakdown")
     parser.add_argument("--no-plan", action="store_true",
                         help="run the generic kernels instead of the compiled plan")
-    parser.add_argument("--no-code-domain", action="store_true",
-                        help="keep the float-domain compiled kernels (the "
-                             "PR-3 plan behaviour) instead of code-domain "
-                             "execution")
     parser.add_argument("--pipeline-stages", type=int, default=1,
                         help="shard the compiled plan across this many "
                              "pipeline stage processes (>=2) instead of "
@@ -96,7 +92,6 @@ def run_run_command(args: argparse.Namespace) -> Tuple[str, int]:
         batch_size=args.batch_size,
         seed=args.seed,
         compile_plan=not args.no_plan,
-        code_domain=not args.no_code_domain,
     )
     if args.backend == "ideal":
         context = dataclasses.replace(context, calibration=None)

@@ -341,6 +341,32 @@ class TestCompiledMappedLayer:
         acts = rng.standard_normal((6, 32))
         assert bitwise_equal(generic.forward(acts), compiled.forward(acts))
 
+    def test_row_range_without_shared_codec_bit_identical(self):
+        # One generic fallback tile among compiled ones: its row range gets
+        # no shared codec, so each compiled tile there encodes the slice
+        # through its own codec (CompiledTile.matvec) while the other row
+        # range shares one encode.
+        config = MacroConfig(device_statistics=quiet_stats())
+        rng = np.random.default_rng(18)
+        weights = rng.standard_normal((600, 150)) * 0.1
+        calibration = np.abs(rng.standard_normal((8, 600)))
+        generic = MappedLayer(weights, macro_config=config)
+        generic.calibrate(calibration)
+        host = MappedLayer(weights, macro_config=config)
+        host.calibrate(calibration)
+        # Macro 2 holds rows 576:600 of the first column tile; macro 3, the
+        # same rows of the second, stays compiled.
+        generic.macros[2].vectorized_readout = False
+        host.macros[2].vectorized_readout = False
+        compiled = CompiledMappedLayer(host, StageProfile())
+        assert compiled.compiled_tiles == 3
+        assert compiled.coded_row_ranges == 1
+
+        acts = rng.standard_normal((10, 600))
+        assert bitwise_equal(generic.forward(acts), compiled.forward(acts))
+        assert generic.total_conversions() == compiled.total_conversions()
+        assert generic.routing_adder.additions == host.routing_adder.additions
+
 
 # ----------------------------------------------------------------------
 # Code-domain execution
@@ -442,7 +468,7 @@ class TestRowCodec:
         generic.calibrate(calibration)
         host = MappedLayer(weights, macro_config=config)
         host.calibrate(calibration)
-        compiled = CompiledMappedLayer(host, StageProfile(), code_domain=True)
+        compiled = CompiledMappedLayer(host, StageProfile())
         assert compiled.coded_row_ranges == 1
 
         acts = rng.standard_normal((9, in_features)) * magnitude
@@ -494,22 +520,10 @@ class TestModelPlan:
         assert bitwise_equal(planned.logits, generic.logits), backend
         assert planned.conversions == generic.conversions
         assert planned.accuracy == generic.accuracy
-
-    @pytest.mark.parametrize("backend", ["ideal", "fake_quant", "fast_noise", "analog"])
-    def test_code_domain_bit_identical_to_float_plan_all_backends(
-            self, plan_setup, backend):
-        model, x_train, x_test, y_test = plan_setup
-        coded = run_model(model, x_test, y_test, backend=backend,
-                          context=plan_context(x_train))
-        float_plan = run_model(model, x_test, y_test, backend=backend,
-                               context=plan_context(x_train, code_domain=False))
-        assert bitwise_equal(coded.logits, float_plan.logits), backend
-        assert coded.conversions == float_plan.conversions
-        expected = {"analog": "code-domain", "ideal": "generic"}.get(
-            backend, "float-plan")
-        assert coded.plan_mode == expected
-        assert float_plan.plan_mode == ("generic" if backend == "ideal"
-                                        else "float-plan")
+        # The ideal backend has nothing to compile, so no plan kernel ran.
+        assert planned.plan_mode == ("generic" if backend == "ideal"
+                                     else "compiled")
+        assert generic.plan_mode == "generic"
 
     def test_conv_model_threads_codes_through_im2col(self):
         # A padded conv (zero-pad codes!), signed inputs (both sign passes)

@@ -384,8 +384,11 @@ class TestHeartbeatWatchdog:
             warm = await service.submit(x_test[0])
             pid = service.process_worker_pids()[0][0]
             os.kill(pid, signal.SIGSTOP)
+            # The respawn is a background task (kill, close, spawn a fresh
+            # pipeline process), so wait for it as well as for the trip.
             deadline = asyncio.get_running_loop().time() + 10.0
-            while (service.metrics_snapshot().heartbeat_trips < 1
+            while ((service.metrics_snapshot().heartbeat_trips < 1
+                    or service.metrics_snapshot().respawns < 1)
                    and asyncio.get_running_loop().time() < deadline):
                 await asyncio.sleep(0.05)
             after = await service.submit(x_test[0])
