@@ -241,7 +241,17 @@ def parse_fault_spec(text: str):
         raise SystemExit(f"--fault-spec: invalid spec: {exc}") from None
 
 
+#: ServeConfig names as their CLI flags, so a config error names the flag.
+_FLAG_NAMES = {name: "--" + name.replace("_", "-") for name in (
+    "pipeline_stages", "macro_budget", "max_retries", "min_workers",
+    "max_workers", "shm_integrity", "shed_alive_fraction")}
+_FLAG_NAMES.update({"dispatch_timeout_s": "--dispatch-timeout-ms",
+                    "heartbeat_timeout_s": "--heartbeat-timeout-ms",
+                    "workers='process'": "--worker-mode process"})
+
+
 def _config_from_args(args: argparse.Namespace) -> ServeConfig:
+    """Build the validated ServeConfig; a bad combination exits with why."""
     priority_classes = (parse_class_map(args.priority_classes,
                                         "--priority-classes")
                         if args.priority_classes else None)
@@ -256,38 +266,45 @@ def _config_from_args(args: argparse.Namespace) -> ServeConfig:
     trace_sample = args.trace_sample
     if trace_sample is None:
         trace_sample = 1.0 if args.trace_out else 0.0
-    return ServeConfig(
-        backend=args.backend,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        num_workers=args.workers,
-        workers=args.worker_mode,
-        pipeline_stages=args.pipeline_stages,
-        macro_budget=args.macro_budget,
-        macros_per_worker=args.macros_per_worker,
-        policy=args.policy,
-        queue_capacity=args.queue_capacity,
-        retry_policy=args.retry_policy,
-        max_retries=args.max_retries,
-        respawn=not args.no_respawn,
-        plan_cache=args.plan_cache,
-        priority_classes=priority_classes,
-        autoscale=args.autoscale,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-        trace_sample_rate=trace_sample,
-        faults=faults,
-        dispatch_timeout_s=dispatch_timeout_s,
-        heartbeat_timeout_s=heartbeat_timeout_s,
-        shm_integrity=args.shm_integrity,
-        shed_alive_fraction=args.shed_alive_fraction,
-    )
+    try:
+        return ServeConfig(
+            backend=args.backend,
+            max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms,
+            num_workers=args.workers,
+            workers=args.worker_mode,
+            pipeline_stages=args.pipeline_stages,
+            macro_budget=args.macro_budget,
+            macros_per_worker=args.macros_per_worker,
+            policy=args.policy,
+            queue_capacity=args.queue_capacity,
+            retry_policy=args.retry_policy,
+            max_retries=args.max_retries,
+            respawn=not args.no_respawn,
+            plan_cache=args.plan_cache,
+            priority_classes=priority_classes,
+            autoscale=args.autoscale,
+            min_workers=args.min_workers,
+            max_workers=args.max_workers,
+            trace_sample_rate=trace_sample,
+            faults=faults,
+            dispatch_timeout_s=dispatch_timeout_s,
+            heartbeat_timeout_s=heartbeat_timeout_s,
+            shm_integrity=args.shm_integrity,
+            shed_alive_fraction=args.shed_alive_fraction,
+        )
+    except ValueError as exc:
+        message = str(exc)
+        for name, flag in _FLAG_NAMES.items():
+            message = message.replace(name, flag)
+        raise SystemExit(f"invalid serving options: {message}") from None
 
 
 def run_serve_command(command: str, args: argparse.Namespace) -> Tuple[str, int]:
     """Execute one serving subcommand; returns (report, exit code)."""
-    model, x_train, x_test = demo_workload(seed=args.seed)
+    # Validate the flags before paying for the demo model's training.
     config = _config_from_args(args)
+    model, x_train, x_test = demo_workload(seed=args.seed)
     if args.backend != "ideal":
         # Quantising / analog backends want a calibration batch.
         config = dataclasses.replace(

@@ -85,6 +85,23 @@ from repro.serve.scheduler import (
 from repro.shard import partition as shard_partition
 from repro.shard import pipeline as shard_pipeline
 
+#: How long a batch waits for a respawn when *no* worker is alive.
+RECOVERY_WAIT_S = 30.0
+#: Autoscaler sampling period; idle ticks in a row before a replica retires.
+AUTOSCALE_INTERVAL_S = 0.02
+SCALE_DOWN_IDLE_TICKS = 5
+#: Worker heartbeat period, also the watchdog's sampling period.
+HEARTBEAT_INTERVAL_S = 0.05
+#: Slots per shared-memory ring edge of an out-of-process replica.
+TRANSPORT_SLOTS = 4
+#: Cap on the exponential re-dispatch backoff.
+REDISPATCH_BACKOFF_MAX_S = 1.0
+#: Backoff between failed respawns of one worker slot; this many failures
+#: in a row open the slot's circuit breaker.
+RESPAWN_BACKOFF_BASE_S = 0.05
+RESPAWN_BACKOFF_MAX_S = 5.0
+MAX_RESPAWN_FAILURES = 3
+
 
 class _ThreadWorker:
     """In-loop worker: a prepared BatchRunner driven via ``asyncio.to_thread``."""
@@ -164,17 +181,17 @@ class _PipelineWorker:
     """
 
     def __init__(self, payloads: List[bytes], max_batch: int = 64,
-                 slots: int = 2, checksum: bool = False,
-                 fault_spec: Optional[Dict] = None,
-                 heartbeat_interval_s: Optional[float] = None) -> None:
+                 checksum: bool = False, fault_spec: Optional[Dict] = None,
+                 heartbeat: bool = False) -> None:
         self.pipeline = shard_pipeline.ShardedPipeline(
-            payloads, max_batch=max_batch, slots=slots, checksum=checksum,
-            fault_spec=fault_spec, heartbeat_interval_s=heartbeat_interval_s)
+            payloads, max_batch=max_batch, slots=TRANSPORT_SLOTS,
+            checksum=checksum, fault_spec=fault_spec,
+            heartbeat_interval_s=HEARTBEAT_INTERVAL_S if heartbeat else None)
         self.mode = "pipeline" if len(payloads) > 1 else "process"
         #: Batches the worker loop may keep in flight at once.  A one-stage
         #: replica has no stages to overlap and serves one batch at a
         #: time, so every batch after the first finds the rings built.
-        self.max_inflight = (len(payloads) + max(int(slots), 1)
+        self.max_inflight = (len(payloads) + TRANSPORT_SLOTS
                              if self.mode == "pipeline" else 1)
         self.transport_s = 0.0
         #: Latest per-stage accounting; left empty for a one-stage replica,
@@ -310,13 +327,16 @@ class WorkerHungError(RuntimeError):
 class ServeConfig:
     """Configuration of an :class:`InferenceService`.
 
+    Every range and cross-field check runs in ``__post_init__``, so an
+    invalid configuration raises ``ValueError`` where it is built.  Fixed
+    recovery and autoscaling timings are the module constants above.
+
     Attributes
     ----------
     backend:
-        Registered backend name (instances are allowed for a single
-        worker only — backend state cannot be shared across replicas).
-    backend_options:
-        Keyword arguments for ``create_backend`` when ``backend`` is a name.
+        Registered backend name, or a backend instance when the pool can
+        never hold more than one worker (backend state cannot be shared
+        across replicas).
     max_batch:
         Flush a batch at this many sample rows.
     max_wait_ms:
@@ -329,25 +349,19 @@ class ServeConfig:
         builds each replica's execution plan once, pickles it and serves
         it as a one-stage :class:`~repro.shard.pipeline.ShardedPipeline`
         — a worker process of its own, fed over parent-owned
-        shared-memory slot rings.  Real cores instead of GIL-shared
-        threads, with deterministic per-worker state (replica ``i`` is
-        constructed by the same seeded recipe in both modes, so served
-        logits match the in-loop workers bit for bit).
-    transport_slots:
-        Slots per shared-memory ring edge of a process replica: the
-        backpressure bound between the parent and the first stage, between
-        stages and from the last stage back to the parent.
+        shared-memory slot rings of :data:`TRANSPORT_SLOTS` slots.  Real
+        cores instead of GIL-shared threads, with deterministic per-worker
+        state (replica ``i`` is constructed by the same seeded recipe in
+        both modes, so served logits match the in-loop workers bit for
+        bit).
     pipeline_stages:
         ``>= 2`` cuts each replica's compiled plan at layer boundaries
         into that many per-stage partial plans (cost-balanced on
-        ``pipeline_probe`` / ``context.calibration`` when available), each
-        run in its own process, with batches streaming between stages over
-        the shared-memory slot rings (:mod:`repro.shard`).  ``1`` (the
-        default) serves the whole plan in one thread or one process.
-    pipeline_probe:
-        Optional representative input batch used to measure per-layer cost
-        for the pipeline partitioner (falls back to ``context.calibration``,
-        then to a parameter-count proxy).
+        ``context.calibration`` when available, else on a parameter-count
+        proxy), each run in its own process, with batches streaming
+        between stages over the shared-memory slot rings
+        (:mod:`repro.shard`).  ``1`` (the default) serves the whole plan
+        in one thread or one process.
     macro_budget:
         Per-worker crossbar capacity in macros.  With ``pipeline_stages >=
         2`` it caps every stage's mapped-macro footprint (the partitioner
@@ -367,9 +381,6 @@ class ServeConfig:
     context:
         Execution context shared by every worker's backend (calibration,
         macro config, formats, seed).
-    estimate_energy:
-        Estimate conversions for digital backends so energy-per-request is
-        reported even when the backend meters none.
     retry_policy:
         What happens to the in-flight batches of a worker that *died*
         (process exit, broken shm transport, pipeline stage death — never
@@ -384,10 +395,9 @@ class ServeConfig:
         Re-dispatch attempts per batch before its requests fail.
     respawn:
         Rebuild a dead worker in the background (same replica recipe; the
-        plan cache makes this recompile-free for process workers).
-    recovery_wait_s:
-        How long a batch may wait for a respawn when *no* worker is alive
-        before its requests fail.
+        plan cache makes this recompile-free for process workers).  Failed
+        respawns back off exponentially; :data:`MAX_RESPAWN_FAILURES` in a
+        row open the slot's circuit breaker.
     plan_cache:
         Directory of the on-disk compiled-plan cache
         (:class:`repro.exec.plan.PlanCache`).  Process-worker plans are
@@ -408,10 +418,6 @@ class ServeConfig:
     min_workers / max_workers:
         Autoscaling bounds (default: both ``num_workers``, i.e. no
         scaling even when ``autoscale`` is on).
-    autoscale_interval_ms:
-        Period of the autoscaler's signal sampling.
-    scale_down_idle_ticks:
-        Consecutive idle autoscaler ticks before a replica is retired.
     dispatch_timeout_s:
         Per-dispatch deadline: a batch whose worker forward exceeds it is
         treated as served by a *hung* worker — the worker is reaped (hard
@@ -420,53 +426,36 @@ class ServeConfig:
         ``None`` (default) disables the deadline.  Note the first batch
         per worker rides the warm-up path, so leave headroom above the
         steady-state forward time.
-    class_dispatch_timeout_s:
-        Optional ``{class_name: seconds}`` per-SLO-class deadline
-        overrides; a batch uses the tightest deadline over its member
-        requests' classes, falling back to ``dispatch_timeout_s``.
     heartbeat_timeout_s:
         Enables the heartbeat watchdog: process/pipeline workers run a
         daemon beat thread updating a parent-owned shared-memory counter
-        every ``heartbeat_interval_s``; a worker whose counters stall
+        every :data:`HEARTBEAT_INTERVAL_S`; a worker whose counters stall
         longer than this is declared hung (reaped + respawned) even with
         no batch in flight — catching frozen/SIGSTOPped processes the
         dispatch deadline alone cannot see.  ``None`` (default) disables
-        the watchdog.
-    heartbeat_interval_s:
-        Beat period of the worker-side heartbeat threads and sampling
-        period of the parent watchdog.
+        the watchdog; thread workers have no beat and reject it.
     redispatch_backoff_base_s:
         Exponential backoff before each batch re-dispatch: attempt ``k``
-        waits ``base * 2**k`` (capped at ``redispatch_backoff_max_s``)
+        waits ``base * 2**k`` (capped at :data:`REDISPATCH_BACKOFF_MAX_S`)
         plus seeded jitter, so a dying pool is not hammered with
-        immediate retries.  ``0`` (default) keeps the PR-6 immediate
-        re-dispatch.
-    respawn_backoff_base_s / respawn_backoff_max_s:
-        Exponential backoff (plus seeded jitter) between *failed* respawn
-        attempts of one worker slot.
-    max_respawn_failures:
-        Circuit breaker: after this many consecutive respawn failures the
-        slot's breaker opens and respawning stops (capacity stays
-        degraded, counted in metrics) instead of respawn-storming.
+        immediate retries.  ``0`` (default) re-dispatches immediately.
     shm_integrity:
         CRC32 per shm slot (process-worker rings and pipeline stage
         rings): computed into a slot header at write, verified on read.
         A mismatch is classified as a *corrupt batch* — re-dispatched
         under the retry budget without killing the worker.  Off by
-        default (zero extra bytes or work on the hot path).
+        default (zero extra bytes or work on the hot path); thread
+        workers have no shm slots and reject it.
     shed_alive_fraction:
         Graceful degradation trigger: shed when the alive fraction of the
         non-retired pool drops *below* this (e.g. ``0.5``).  ``None``
-        disables the alive-fraction trigger.
+        disables the alive-fraction trigger.  Degradation sheds the laxest
+        configured priority class (largest ``max_wait_ms``, the lowest SLO
+        tier) — or the default class when no classes are configured — with
+        a fast :class:`ServiceDegradedError` at admission.
     shed_timeout_threshold / shed_timeout_window_s:
         Second trigger: shed while at least this many dispatch timeouts
         landed within the trailing window.  ``None`` disables it.
-    shed_classes:
-        Priority classes shed while degraded (fast
-        :class:`ServiceDegradedError` rejection at admission, counted in
-        metrics).  Default: the laxest configured class (largest
-        ``max_wait_ms``) — the lowest SLO tier — or the default class
-        when no classes are configured.
     faults:
         Optional :class:`repro.faults.FaultSpec` installing the
         deterministic chaos injector into this service and every worker
@@ -481,54 +470,96 @@ class ServeConfig:
         streams, so sampled serving stays bit-identical to untraced
         serving.  ``0`` (default) disables tracing; the remaining cost is
         one attribute check per request.
-    trace_max_spans:
-        Bound on retained spans; spans past it are counted as dropped
-        instead of growing memory without limit.
     """
 
     backend: Union[str, ExecutionBackend] = "ideal"
-    backend_options: Dict = dataclasses.field(default_factory=dict)
     max_batch: int = 64
     max_wait_ms: float = 2.0
     num_workers: int = 1
     workers: str = "thread"
-    transport_slots: int = 4
     pipeline_stages: int = 1
-    pipeline_probe: Optional[np.ndarray] = None
     macro_budget: Optional[int] = None
     macros_per_worker: int = 8
     policy: str = "round_robin"
     queue_capacity: Optional[int] = None
     context: ExecutionContext = dataclasses.field(default_factory=ExecutionContext)
-    estimate_energy: bool = True
     retry_policy: str = "redispatch"
     max_retries: int = 2
     respawn: bool = True
-    recovery_wait_s: float = 30.0
     plan_cache: Optional[str] = None
     priority_classes: Optional[Dict[str, float]] = None
     autoscale: bool = False
     min_workers: Optional[int] = None
     max_workers: Optional[int] = None
-    autoscale_interval_ms: float = 20.0
-    scale_down_idle_ticks: int = 5
     dispatch_timeout_s: Optional[float] = None
-    class_dispatch_timeout_s: Optional[Dict[str, float]] = None
     heartbeat_timeout_s: Optional[float] = None
-    heartbeat_interval_s: float = 0.05
     redispatch_backoff_base_s: float = 0.0
-    redispatch_backoff_max_s: float = 1.0
-    respawn_backoff_base_s: float = 0.05
-    respawn_backoff_max_s: float = 5.0
-    max_respawn_failures: int = 3
     shm_integrity: bool = False
     shed_alive_fraction: Optional[float] = None
     shed_timeout_threshold: Optional[int] = None
     shed_timeout_window_s: float = 1.0
-    shed_classes: Optional[List[str]] = None
     faults: Optional[FaultSpec] = None
     trace_sample_rate: float = 0.0
-    trace_max_spans: int = 200_000
+
+    def __post_init__(self) -> None:
+        if self.workers not in ("thread", "process"):
+            raise ValueError(
+                f"unknown worker mode {self.workers!r}; "
+                "choose 'thread' or 'process'")
+        if self.pipeline_stages < 1:
+            raise ValueError("pipeline_stages must be >= 1")
+        if self.macro_budget is not None and self.macro_budget < 1:
+            raise ValueError("macro_budget must be >= 1 (or None)")
+        low, high = self.autoscale_bounds()
+        if self.autoscale and (low < 1 or high < low):
+            raise ValueError(
+                f"autoscale bounds min_workers={low}, max_workers={high} "
+                "must satisfy 1 <= min <= max")
+        ceiling = (max(self.num_workers, high) if self.autoscale
+                   else self.num_workers)
+        if isinstance(self.backend, ExecutionBackend) and ceiling > 1:
+            raise ValueError(
+                "a backend instance cannot be shared across workers; pass a "
+                "registered backend name when the pool can exceed one "
+                f"worker (up to {ceiling} here)")
+        if self.retry_policy not in ("redispatch", "fail_fast"):
+            raise ValueError(
+                f"unknown retry policy {self.retry_policy!r}; "
+                "choose 'redispatch' or 'fail_fast'")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        for name, wait_ms in (self.priority_classes or {}).items():
+            if wait_ms < 0:
+                raise ValueError(
+                    f"priority class {name!r} max_wait_ms must be >= 0")
+        if self.dispatch_timeout_s is not None and self.dispatch_timeout_s <= 0:
+            raise ValueError("dispatch_timeout_s must be > 0 (or None)")
+        if (self.heartbeat_timeout_s is not None
+                and self.heartbeat_timeout_s <= 0):
+            raise ValueError("heartbeat_timeout_s must be > 0 (or None)")
+        if self.redispatch_backoff_base_s < 0:
+            raise ValueError("redispatch_backoff_base_s must be >= 0")
+        if (self.shed_alive_fraction is not None
+                and not 0.0 < self.shed_alive_fraction <= 1.0):
+            raise ValueError("shed_alive_fraction must be in (0, 1]")
+        if (self.shed_timeout_threshold is not None
+                and self.shed_timeout_threshold < 1):
+            raise ValueError("shed_timeout_threshold must be >= 1 (or None)")
+        # The watchdog and the slot CRC exist only for out-of-process
+        # workers; silently ignoring them would hide a misconfiguration.
+        in_thread = self.workers == "thread" and self.pipeline_stages == 1
+        needs = ("needs out-of-process workers "
+                 "(workers='process' or pipeline_stages >= 2)")
+        if in_thread and self.heartbeat_timeout_s is not None:
+            raise ValueError(f"heartbeat_timeout_s {needs}")
+        if in_thread and self.shm_integrity:
+            raise ValueError(f"shm_integrity {needs}")
+
+    def autoscale_bounds(self) -> Tuple[int, int]:
+        """``(min_workers, max_workers)``, each defaulting to ``num_workers``."""
+        low = self.min_workers if self.min_workers is not None else self.num_workers
+        high = self.max_workers if self.max_workers is not None else self.num_workers
+        return low, high
 
 
 class InferenceService:
@@ -537,70 +568,6 @@ class InferenceService:
     def __init__(self, model: Model, config: Optional[ServeConfig] = None) -> None:
         self.model = model
         self.config = config if config is not None else ServeConfig()
-        if isinstance(self.config.backend, ExecutionBackend) and self.config.num_workers > 1:
-            raise ValueError(
-                "a backend instance cannot be shared across workers; "
-                "pass a registered backend name for num_workers > 1"
-            )
-        if self.config.workers not in ("thread", "process"):
-            raise ValueError(
-                f"unknown worker mode {self.config.workers!r}; "
-                "choose 'thread' or 'process'"
-            )
-        if self.config.pipeline_stages < 1:
-            raise ValueError("pipeline_stages must be >= 1")
-        if (self.config.macro_budget is not None
-                and self.config.macro_budget < 1):
-            raise ValueError("macro_budget must be >= 1 (or None)")
-        if self.config.retry_policy not in ("redispatch", "fail_fast"):
-            raise ValueError(
-                f"unknown retry policy {self.config.retry_policy!r}; "
-                "choose 'redispatch' or 'fail_fast'"
-            )
-        if self.config.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        for name, wait_ms in (self.config.priority_classes or {}).items():
-            if wait_ms < 0:
-                raise ValueError(
-                    f"priority class {name!r} max_wait_ms must be >= 0")
-        low = (self.config.min_workers if self.config.min_workers is not None
-               else self.config.num_workers)
-        high = (self.config.max_workers if self.config.max_workers is not None
-                else self.config.num_workers)
-        if self.config.autoscale and (low < 1 or high < low):
-            raise ValueError(
-                f"autoscale bounds min_workers={low}, max_workers={high} "
-                "must satisfy 1 <= min <= max"
-            )
-        if (self.config.dispatch_timeout_s is not None
-                and self.config.dispatch_timeout_s <= 0):
-            raise ValueError("dispatch_timeout_s must be > 0 (or None)")
-        for name, timeout_s in (self.config.class_dispatch_timeout_s or {}).items():
-            if timeout_s is not None and timeout_s <= 0:
-                raise ValueError(
-                    f"class {name!r} dispatch timeout must be > 0")
-        if (self.config.heartbeat_timeout_s is not None
-                and self.config.heartbeat_timeout_s <= 0):
-            raise ValueError("heartbeat_timeout_s must be > 0 (or None)")
-        if self.config.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be > 0")
-        if (self.config.redispatch_backoff_base_s < 0
-                or self.config.respawn_backoff_base_s < 0):
-            raise ValueError("backoff bases must be >= 0")
-        if self.config.max_respawn_failures < 1:
-            raise ValueError("max_respawn_failures must be >= 1")
-        if (self.config.shed_alive_fraction is not None
-                and not 0.0 < self.config.shed_alive_fraction <= 1.0):
-            raise ValueError("shed_alive_fraction must be in (0, 1]")
-        if (self.config.shed_timeout_threshold is not None
-                and self.config.shed_timeout_threshold < 1):
-            raise ValueError("shed_timeout_threshold must be >= 1 (or None)")
-        known_classes = set(self.config.priority_classes or {})
-        known_classes.add(DEFAULT_PRIORITY)
-        for name in self.config.shed_classes or []:
-            if name not in known_classes:
-                raise ValueError(
-                    f"shed class {name!r} is not a configured priority class")
         self.metrics = ServiceMetrics(
             energy_per_conversion_j=energy_per_conversion(self.config.context.macro_config)
         )
@@ -611,7 +578,6 @@ class InferenceService:
         self.tracer = Tracer(
             sample_rate=self.config.trace_sample_rate,
             seed=getattr(self.config.context, "seed", 0),
-            max_spans=self.config.trace_max_spans,
         )
         self._queue: Optional[asyncio.Queue] = None
         self._batcher: Optional[DynamicBatcher] = None
@@ -641,13 +607,15 @@ class InferenceService:
         self._injector: Optional[FaultInjector] = None
         self._fault_spec_dict = (self.config.faults.to_dict()
                                  if self.config.faults is not None else None)
-        self._timeouts_enabled = (
-            self.config.dispatch_timeout_s is not None
-            or bool(self.config.class_dispatch_timeout_s))
         self._shed_enabled = (
             self.config.shed_alive_fraction is not None
             or self.config.shed_timeout_threshold is not None)
-        self._shed_classes = self._resolve_shed_classes()
+        # Degradation sheds the laxest configured class (largest flush
+        # budget, the lowest SLO tier); without classes, the default one.
+        classes = self.config.priority_classes or {DEFAULT_PRIORITY: 0.0}
+        laxest = max(classes.values())
+        self._shed_classes = frozenset(
+            name for name, wait in classes.items() if wait >= laxest)
         self._timeout_times: collections.deque = collections.deque()
         self._respawn_breaker_open: set = set()
         # Seeded apart from the numpy streams: jitter must never perturb
@@ -656,23 +624,6 @@ class InferenceService:
             f"serve-backoff:{getattr(self.config.context, 'seed', 0)}")
         self._heartbeat_seen: Dict[int, Tuple[object, Tuple, float]] = {}
         self._fault_report: Dict[str, Dict[str, int]] = {}
-
-    def _resolve_shed_classes(self) -> frozenset:
-        """Which priority classes degradation sheds (config or derived).
-
-        Without an explicit list, the laxest configured class (largest
-        flush budget — the lowest SLO tier) is shed; with no classes at
-        all, everything is the default class and is sheddable.
-        """
-        config = self.config
-        if config.shed_classes:
-            return frozenset(config.shed_classes)
-        classes = config.priority_classes
-        if not classes:
-            return frozenset((DEFAULT_PRIORITY,))
-        laxest = max(classes.values())
-        return frozenset(name for name, wait in classes.items()
-                         if wait >= laxest)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -773,7 +724,7 @@ class InferenceService:
         replica = copy.deepcopy(self.model)
         backend = (
             config.backend if isinstance(config.backend, ExecutionBackend)
-            else create_backend(config.backend, **config.backend_options)
+            else create_backend(config.backend)
         )
         return await asyncio.to_thread(
             BatchRunner, replica, backend, context=config.context
@@ -797,8 +748,7 @@ class InferenceService:
         claimed = False
         if cache is not None:
             key = await asyncio.to_thread(
-                plan_fingerprint, self.model, config.backend,
-                config.backend_options, config.context)
+                plan_fingerprint, self.model, config.backend, config.context)
             payload = await self._load_cached_plan(cache, key)
             if payload is None:
                 # Write-once guard: first contender claims the key and
@@ -820,7 +770,8 @@ class InferenceService:
             runner = await self._build_runner()
             try:
                 if config.macro_budget is not None:
-                    await asyncio.to_thread(self._enforce_macro_budget, runner)
+                    await asyncio.to_thread(self._enforce_plan_budget,
+                                            runner.plan)
                 payload = await asyncio.to_thread(pickle.dumps, runner.plan)
             finally:
                 await asyncio.to_thread(runner.close)
@@ -877,13 +828,11 @@ class InferenceService:
             payloads = ((await self._partition_payloads()).payloads
                         if config.pipeline_stages > 1
                         else [await self._process_plan_payload()])
-            heartbeat = (config.heartbeat_interval_s
-                         if config.heartbeat_timeout_s is not None else None)
-            worker = _PipelineWorker(payloads, max_batch=config.max_batch,
-                                     slots=config.transport_slots,
-                                     checksum=config.shm_integrity,
-                                     fault_spec=self._fault_spec_dict,
-                                     heartbeat_interval_s=heartbeat)
+            worker = _PipelineWorker(
+                payloads, max_batch=config.max_batch,
+                checksum=config.shm_integrity,
+                fault_spec=self._fault_spec_dict,
+                heartbeat=config.heartbeat_timeout_s is not None)
             try:
                 await worker.start()
             except Exception:
@@ -893,7 +842,7 @@ class InferenceService:
         runner = await self._build_runner()
         try:
             if config.macro_budget is not None:
-                await asyncio.to_thread(self._enforce_macro_budget, runner)
+                await asyncio.to_thread(self._enforce_plan_budget, runner.plan)
         except Exception:
             await asyncio.to_thread(runner.close)
             raise
@@ -1071,17 +1020,13 @@ class InferenceService:
     def _build_partition(self, runner: BatchRunner):
         """Cut a prepared replica plan into pipeline stage payloads."""
         config = self.config
-        probe = (config.pipeline_probe if config.pipeline_probe is not None
-                 else config.context.calibration)
         return shard_partition.build_stage_payloads(
-            runner.plan, config.pipeline_stages, probe=probe,
+            runner.plan, config.pipeline_stages,
+            probe=config.context.calibration,
             max_macros_per_stage=config.macro_budget)
 
-    def _enforce_macro_budget(self, runner: BatchRunner) -> None:
-        """Reject a single-worker replica exceeding the crossbar budget."""
-        self._enforce_plan_budget(runner.plan)
-
     def _enforce_plan_budget(self, plan) -> None:
+        """Reject a single-stage replica plan exceeding the crossbar budget."""
         used = shard_partition.count_plan_macros(plan)
         budget = self.config.macro_budget
         if used > budget:
@@ -1093,9 +1038,6 @@ class InferenceService:
 
     def _ensure_conversion_estimate(self, batch: List[Request]) -> None:
         if self._conversions_per_sample is not None:
-            return
-        if not self.config.estimate_energy:
-            self._conversions_per_sample = 0
             return
         # Probe on the caller's model: replicas may be mid-forward in worker
         # threads, but the original stays digital and idle while serving.
@@ -1284,7 +1226,7 @@ class InferenceService:
                     trace_id=primary.trace_id,
                     parent=primary.batch_span or primary.root,
                     worker=state.index, mode=state.mode, attempt=retries)
-            timeout_s = self._dispatch_timeout_for(batch)
+            timeout_s = self.config.dispatch_timeout_s
             forward = worker.forward(inputs, traced=dispatch_span is not None)
             if timeout_s is not None:
                 logits, measured, remote = await asyncio.wait_for(
@@ -1335,7 +1277,7 @@ class InferenceService:
             state.accelerator.cancel_inference(estimate)
             exc = WorkerHungError(
                 f"worker {state.index} exceeded its "
-                f"{self._dispatch_timeout_for(batch)}s dispatch deadline")
+                f"{self.config.dispatch_timeout_s}s dispatch deadline")
             self.metrics.record_dispatch_timeout()
             self._timeout_times.append(loop.time())
             self.tracer.event("dispatch_timeout", worker=state.index,
@@ -1391,8 +1333,9 @@ class InferenceService:
         ``retry_policy="fail_fast"`` (the pre-fault-tolerance behaviour,
         for noise-stream-sensitive runs).  With
         ``redispatch_backoff_base_s > 0`` each attempt waits
-        ``base * 2**(attempt-1)`` (capped by ``redispatch_backoff_max_s``)
-        plus up to 25% seeded jitter before re-entering placement, so a
+        ``base * 2**(attempt-1)`` (capped by
+        :data:`REDISPATCH_BACKOFF_MAX_S`) plus up to 25% seeded jitter
+        before re-entering placement, so a
         flapping pool is not hammered by its own retry traffic.
         """
         if (self.config.retry_policy == "redispatch"
@@ -1401,7 +1344,7 @@ class InferenceService:
             base = self.config.redispatch_backoff_base_s
             if base > 0.0 and retries >= 0:
                 wait_s = min(base * (2.0 ** retries),
-                             self.config.redispatch_backoff_max_s)
+                             REDISPATCH_BACKOFF_MAX_S)
                 wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
                 self.metrics.record_backoff(wait_s)
                 self.tracer.event("redispatch_backoff", attempt=retries + 1,
@@ -1430,25 +1373,6 @@ class InferenceService:
         the batch is re-dispatched but nothing is killed or respawned.
         """
         return isinstance(exc, shard_pipeline.StageCorruptionError)
-
-    def _dispatch_timeout_for(self, batch: List[Request]) -> Optional[float]:
-        """The dispatch deadline for ``batch`` (tightest member's class).
-
-        A batch can mix SLO classes; the strictest per-class override in
-        it wins, falling back to the global ``dispatch_timeout_s``.
-        """
-        if not self._timeouts_enabled:
-            return None
-        config = self.config
-        timeout = config.dispatch_timeout_s
-        overrides = config.class_dispatch_timeout_s
-        if overrides:
-            for request in batch:
-                override = overrides.get(request.priority)
-                if override is not None and (timeout is None
-                                             or override < timeout):
-                    timeout = override
-        return timeout
 
     def _note_worker_death(self, state: WorkerState, exc: BaseException,
                            kill: bool = False) -> None:
@@ -1483,7 +1407,7 @@ class InferenceService:
         the in-memory copy otherwise — so respawn never recompiles.
 
         Respawn attempts retry with exponential backoff (seeded jitter)
-        up to ``max_respawn_failures`` times; exhausting them opens this
+        up to :data:`MAX_RESPAWN_FAILURES` times; exhausting them opens this
         slot's circuit breaker — capacity stays degraded and no further
         respawns are attempted for the slot, so a poisoned spawn path
         (e.g. an injected ``plan_cache.load`` crash) cannot spin hot.
@@ -1501,7 +1425,6 @@ class InferenceService:
             return
         if index in self._respawn_breaker_open:
             return
-        config = self.config
         failures = 0
         while not self._stopping:
             try:
@@ -1514,7 +1437,7 @@ class InferenceService:
                 self.metrics.record_respawn_failure()
                 self.tracer.event("respawn_failure", worker=index,
                                   attempt=failures, error=repr(exc))
-                if failures >= config.max_respawn_failures:
+                if failures >= MAX_RESPAWN_FAILURES:
                     self._respawn_breaker_open.add(index)
                     self.metrics.record_breaker_trip()
                     self.tracer.event("respawn_breaker_open", worker=index)
@@ -1524,13 +1447,11 @@ class InferenceService:
                         "capacity stays degraded",
                         RuntimeWarning, stacklevel=2)
                     return
-                wait_s = min(
-                    config.respawn_backoff_base_s * (2.0 ** (failures - 1)),
-                    config.respawn_backoff_max_s)
+                wait_s = min(RESPAWN_BACKOFF_BASE_S * (2.0 ** (failures - 1)),
+                             RESPAWN_BACKOFF_MAX_S)
                 wait_s *= 1.0 + 0.25 * self._backoff_rng.random()
-                if wait_s > 0:
-                    self.metrics.record_backoff(wait_s)
-                    await asyncio.sleep(wait_s)
+                self.metrics.record_backoff(wait_s)
+                await asyncio.sleep(wait_s)
         else:
             return
         if self._stopping:
@@ -1559,9 +1480,8 @@ class InferenceService:
         slow work.
         """
         timeout_s = self.config.heartbeat_timeout_s
-        interval = max(self.config.heartbeat_interval_s, 0.01)
         while not self._stopping:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(HEARTBEAT_INTERVAL_S)
             if self._stopping or not self._started:
                 return
             loop = asyncio.get_running_loop()
@@ -1637,12 +1557,12 @@ class InferenceService:
         """Select a worker, waiting out a total loss of capacity.
 
         When every worker is dead but a respawn is pending, placement
-        waits (bounded by ``recovery_wait_s``) instead of failing the
+        waits (bounded by :data:`RECOVERY_WAIT_S`) instead of failing the
         batch — the kill-storm contract is zero client-visible failures
         as long as the pool can recover.
         """
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.config.recovery_wait_s
+        deadline = loop.time() + RECOVERY_WAIT_S
         while True:
             try:
                 return self._scheduler.select(rows)
@@ -1679,18 +1599,14 @@ class InferenceService:
 
         Scale up when the outstanding backlog exceeds one full batch per
         alive worker (the pool cannot absorb the queue in a single round);
-        scale down after ``scale_down_idle_ticks`` consecutive idle
+        scale down after :data:`SCALE_DOWN_IDLE_TICKS` consecutive idle
         samples.  The pool stays within ``[min_workers, max_workers]``.
         """
         config = self.config
-        interval = max(config.autoscale_interval_ms, 1.0) / 1e3
-        high = (config.max_workers if config.max_workers is not None
-                else config.num_workers)
-        low = (config.min_workers if config.min_workers is not None
-               else config.num_workers)
+        low, high = config.autoscale_bounds()
         idle_ticks = 0
         while not self._stopping:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(AUTOSCALE_INTERVAL_S)
             if self._stopping or not self._started:
                 return
             alive = [s for s in self._worker_states if s.alive]
@@ -1704,7 +1620,7 @@ class InferenceService:
                 continue
             if backlog == 0:
                 idle_ticks += 1
-                if idle_ticks >= config.scale_down_idle_ticks and len(alive) > low:
+                if idle_ticks >= SCALE_DOWN_IDLE_TICKS and len(alive) > low:
                     idle_ticks = 0
                     self._scale_down()
             else:

@@ -86,13 +86,12 @@ class TestPlanCache:
     def test_fingerprint_separates_recipes(self, trained_setup):
         model, _ = trained_setup
         context = ExecutionContext()
-        base = plan_fingerprint(model, "ideal", {}, context)
-        assert base == plan_fingerprint(model, "ideal", {}, context)
-        assert base != plan_fingerprint(model, "fake_quant", {}, context)
-        assert base != plan_fingerprint(model, "ideal", {"option": 1}, context)
+        base = plan_fingerprint(model, "ideal", context)
+        assert base == plan_fingerprint(model, "ideal", context)
+        assert base != plan_fingerprint(model, "fake_quant", context)
         other_model = Sequential(Flatten(),
                                  Linear(300, 4, rng=np.random.default_rng(2)))
-        assert base != plan_fingerprint(other_model, "ideal", {}, context)
+        assert base != plan_fingerprint(other_model, "ideal", context)
 
     def test_store_load_roundtrip_and_counters(self, tmp_path):
         cache = PlanCache(str(tmp_path))
@@ -435,14 +434,17 @@ class TestAutoscaling:
         async def scenario():
             service = InferenceService(model, ServeConfig(
                 max_batch=2, max_wait_ms=0.5, num_workers=1,
-                autoscale=True, min_workers=1, max_workers=3,
-                autoscale_interval_ms=2.0, scale_down_idle_ticks=2))
+                autoscale=True, min_workers=1, max_workers=3))
             await service.start()
-            futures = [service.submit_nowait(x_test[i % len(x_test)])
-                       for i in range(256)]
-            await asyncio.gather(*futures)
             loop = asyncio.get_running_loop()
             deadline = loop.time() + 10.0
+            # A single burst can drain between two autoscaler ticks, so
+            # keep offering bursts until one tick sees the backlog.
+            while (service.metrics_snapshot().scale_up_events < 1
+                   and loop.time() < deadline):
+                futures = [service.submit_nowait(x_test[i % len(x_test)])
+                           for i in range(256)]
+                await asyncio.gather(*futures)
             while (service.alive_worker_count() > 1
                    and loop.time() < deadline):
                 await asyncio.sleep(0.02)

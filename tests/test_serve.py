@@ -458,8 +458,7 @@ class TestInferenceService:
         async def scenario():
             service = InferenceService(
                 model, ServeConfig(backend=SlowIdealBackend(), max_batch=1,
-                                   max_wait_ms=0.0, queue_capacity=3,
-                                   estimate_energy=False))
+                                   max_wait_ms=0.0, queue_capacity=3))
             await service.start()
             first = [service.submit_nowait(x_test[i]) for i in range(3)]
             # Let the dispatcher drain the request queue onto the worker.
@@ -491,6 +490,10 @@ class TestInferenceService:
         with pytest.raises(ValueError, match="cannot be shared"):
             InferenceService(model, ServeConfig(backend=IdealBackend(),
                                                 num_workers=2))
+        # An autoscaled pool may grow past one replica, so the instance
+        # would be prepared twice: rejected at build, not at scale-up.
+        with pytest.raises(ValueError, match="cannot be shared"):
+            ServeConfig(backend=IdealBackend(), autoscale=True, max_workers=3)
 
     def test_malformed_batch_rejected_at_admission(self, trained_setup):
         # A request whose sample shape disagrees with the service signature
@@ -574,6 +577,39 @@ class TestInferenceService:
         assert result.snapshot.requests == 50
         assert result.snapshot.latency_p99_ms < 250.0
         assert np.isfinite(result.logits).all()
+
+
+# ----------------------------------------------------------------------
+# Config validation at build time
+# ----------------------------------------------------------------------
+class TestServeConfigValidation:
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(retry_policy="sometimes"), "retry policy"),
+        (dict(max_retries=-1), "max_retries"),
+        (dict(priority_classes={"interactive": 0.5, "batch": -1.0}),
+         "priority class 'batch'"),
+        (dict(autoscale=True, min_workers=0), "autoscale bounds"),
+        (dict(autoscale=True, min_workers=3, max_workers=2),
+         "autoscale bounds"),
+        (dict(dispatch_timeout_s=0.0), "dispatch_timeout_s"),
+        (dict(workers="process", heartbeat_timeout_s=-1.0),
+         "heartbeat_timeout_s must be > 0"),
+        (dict(redispatch_backoff_base_s=-0.01), "redispatch_backoff_base_s"),
+        (dict(shed_alive_fraction=0.0), "shed_alive_fraction"),
+        (dict(shed_alive_fraction=1.5), "shed_alive_fraction"),
+        (dict(shed_timeout_threshold=0), "shed_timeout_threshold"),
+        (dict(heartbeat_timeout_s=1.0), "heartbeat_timeout_s needs"),
+        (dict(shm_integrity=True), "shm_integrity needs"),
+    ])
+    def test_invalid_config_fails_where_it_is_built(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ServeConfig(**kwargs)
+
+    def test_process_only_options_accepted_out_of_process(self):
+        ServeConfig(workers="process", heartbeat_timeout_s=1.0,
+                    shm_integrity=True)
+        ServeConfig(pipeline_stages=2, heartbeat_timeout_s=1.0,
+                    shm_integrity=True)
 
 
 # ----------------------------------------------------------------------
@@ -727,6 +763,14 @@ class TestServeCLI:
         assert main(["loadtest", "--requests", "32", "--rate", "100000",
                      "--max-p99-ms", "0.000001"]) == 1
         assert "SLO FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--heartbeat-timeout-ms", "100"],
+                                       ["--shm-integrity"]])
+    def test_process_only_flags_rejected_in_thread_mode(self, flags):
+        from repro.analysis.cli import main
+
+        with pytest.raises(SystemExit, match=flags[0]):
+            main(["loadtest", *flags])
 
     def test_unknown_subcommand_still_handled_by_experiments(self):
         from repro.analysis.cli import main
